@@ -42,7 +42,12 @@ from repro.xmltree.tree import XTree
 from .conftest import record_report
 
 N_DOCS = 4
+#: Rounds per trial, half on each arm.
 SAMPLES = 120
+#: Trials behind the happy-path gate, which reads their median overhead:
+#: one trial's overhead moves by about 3% from run to run, so one trial
+#: alone crossed the 5% bound in about one run in ten on a 2-core VM.
+TRIALS = 5
 OVERHEAD_BOUND = 0.05
 
 
@@ -57,14 +62,16 @@ def _retry_policy() -> RetryPolicy:
                        max_delay=0.05, jitter=0.1, seed=11)
 
 
+def _round(client: WorkloadClient, workload: Workload, known: set) -> float:
+    start = time.perf_counter()
+    client.run(workload, known_digests=known)
+    return time.perf_counter() - start
+
+
 def _median_round(client: WorkloadClient, workload: Workload,
                   known: set, samples: int) -> float:
-    times = []
-    for _ in range(samples):
-        start = time.perf_counter()
-        client.run(workload, known_digests=known)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(_round(client, workload, known)
+                             for _ in range(samples))
 
 
 def test_retry_wrapper_overhead(benchmark):
@@ -81,16 +88,26 @@ def test_retry_wrapper_overhead(benchmark):
                 # Warm both connections (corpus ship + index build).
                 bare.run(workload, known_digests=bare_known)
                 wrapped.run(workload, known_digests=wrapped_known)
-                # Interleave the A/B samples so drift hits both arms.
-                half = SAMPLES // 2
-                bare_t = _median_round(bare, workload, bare_known, half)
-                wrapped_t = _median_round(wrapped, workload,
-                                          wrapped_known, half)
+                # Interleave the A/B samples round by round, alternating
+                # which arm goes first, so drift hits both arms alike.
+                trials = []
+                for _ in range(TRIALS):
+                    arms = ((bare, bare_known, []),
+                            (wrapped, wrapped_known, []))
+                    for pair in range(SAMPLES // 2):
+                        order = arms if pair % 2 == 0 else arms[::-1]
+                        for client, known, times in order:
+                            times.append(_round(client, workload, known))
+                    trials.append(tuple(statistics.median(times)
+                                        for _, _, times in arms))
                 assert wrapped.retries == 0  # genuinely fault-free
-                return bare_t, wrapped_t
+                return trials
 
-    bare_t, wrapped_t = benchmark.pedantic(measure, rounds=1, iterations=1)
-    overhead = wrapped_t / bare_t - 1.0
+    trials = benchmark.pedantic(measure, rounds=1, iterations=1)
+    bare_t = statistics.median(bare for bare, _ in trials)
+    wrapped_t = statistics.median(wrapped for _, wrapped in trials)
+    overhead = statistics.median(wrapped / bare - 1.0
+                                 for bare, wrapped in trials)
     rows = [
         ["bare client", f"{bare_t * 1e3:.3f}", "-"],
         ["retry-enabled client", f"{wrapped_t * 1e3:.3f}",
@@ -98,7 +115,8 @@ def test_retry_wrapper_overhead(benchmark):
     ]
     record_report(
         "resilience retry wrapper happy-path overhead",
-        format_table(["client", "median round (ms)", "overhead"], rows),
+        format_table(["client", "median round (ms)", "overhead"], rows,
+                     title=f"median of {TRIALS} interleaved trials"),
         metrics={"bare_ms": bare_t * 1e3, "wrapped_ms": wrapped_t * 1e3,
                  "overhead_fraction": overhead,
                  "bound_fraction": OVERHEAD_BOUND})

@@ -32,6 +32,22 @@ order regardless of shard arrival order, so the session accepts any
 backend — local, batched on any executor, or a remote serving tier —
 without changing a single question (``SessionStats.asked`` records the
 sequence so the invariance suites can assert exactly that).
+
+Hypothesis construction is memoised exactly, so a round costs what the
+paper's algorithm costs rather than a rebuild of every candidate.  Each
+candidate's widened hypothesis (the current hypothesis extended by it) and
+its implied-negative verdict are kept *keyed by hypothesis identity*: they
+hold while the hypothesis object is unchanged and are all dropped when a
+positive label replaces it.  The negatives list is append-only within a
+run, so a verdict of "implied negative" stays true, and a "not implied"
+verdict is refreshed by probing only the negatives labelled since it was
+computed.  Candidates are never retired across a hypothesis change.  Each
+candidate's canonical query is fetched from the backend once per
+:meth:`InteractiveTwigSession.run` and shared by every widening without a
+copy: :func:`product`, :func:`anchor_repair` and :func:`minimize` leave
+their inputs intact, and :func:`minimize` returns a fresh query, so no
+hypothesis aliases a memoised canonical query.  Document sizes and node
+depths for the question order are likewise computed once per run.
 """
 
 from __future__ import annotations
@@ -107,15 +123,33 @@ class InteractiveTwigSession:
         if not pool:
             raise LearningError("empty candidate pool (label filter?)")
         self.pool = pool
+        self._reset_memo()
 
     # ------------------------------------------------------------------
+    def _reset_memo(self) -> None:
+        """Forget every per-run memo (see the module docstring)."""
+        #: id(node) -> the candidate's canonical query, never mutated.
+        self._canonical: dict[int, TwigQuery] = {}
+        #: The hypothesis the two memos below belong to.
+        self._memo_hypothesis: TwigQuery | None = None
+        #: id(node) -> ``_extend(self._memo_hypothesis, candidate)``.
+        self._widened: dict[int, TwigQuery] = {}
+        #: id(node) -> (implied negative?, negatives probed so far).
+        self._verdicts: dict[int, tuple[bool, int]] = {}
+
+    def _track(self, hypothesis: TwigQuery | None) -> None:
+        if hypothesis is not self._memo_hypothesis:
+            self._memo_hypothesis = hypothesis
+            self._widened = {}
+            self._verdicts = {}
+
     def _extend(self, hypothesis: TwigQuery | None,
                 candidate: Candidate) -> TwigQuery:
-        # The backend caches the canonical query per (document, node); the
-        # session widens a hypothesis with the same candidates repeatedly
-        # while probing implied negatives.
         tree, node = candidate
-        canonical = self.backend.canonical_query(tree, node)
+        canonical = self._canonical.get(id(node))
+        if canonical is None:
+            canonical = self.backend.canonical_query(tree, node)
+            self._canonical[id(node)] = canonical
         if hypothesis is None:
             merged = canonical
         else:
@@ -123,13 +157,31 @@ class InteractiveTwigSession:
         repaired, _ = anchor_repair(merged)
         return minimize(repaired)
 
+    def _widened_query(self, hypothesis: TwigQuery | None,
+                       candidate: Candidate) -> TwigQuery:
+        """``_extend(hypothesis, candidate)``, memoised per hypothesis."""
+        self._track(hypothesis)
+        key = id(candidate[1])
+        widened = self._widened.get(key)
+        if widened is None:
+            widened = self._extend(hypothesis, candidate)
+            self._widened[key] = widened
+        return widened
+
     def _implied_negative(self, hypothesis: TwigQuery | None,
                           candidate: Candidate,
                           negatives: list[Candidate]) -> bool:
         if hypothesis is None or not negatives:
             return False
-        widened = self._extend(hypothesis, candidate)
-        return self.backend.selects_any(widened, negatives)
+        self._track(hypothesis)
+        key = id(candidate[1])
+        implied, checked = self._verdicts.get(key, (False, 0))
+        if not implied and checked < len(negatives):
+            implied = self.backend.selects_any(
+                self._widened_query(hypothesis, candidate),
+                negatives[checked:])
+            self._verdicts[key] = (implied, len(negatives))
+        return implied
 
     def _informative_flags(self, hypothesis: TwigQuery | None,
                            pending: list[Candidate],
@@ -157,6 +209,14 @@ class InteractiveTwigSession:
         hypothesis: TwigQuery | None = None
         negatives: list[Candidate] = []
         pending = list(self.pool)
+        self._reset_memo()
+        # Cheapest-to-inspect first: smaller documents, shallower nodes.
+        sizes: dict[int, int] = {}
+        order: dict[int, tuple[int, int]] = {}
+        for doc, node in self.pool:
+            if id(doc) not in sizes:
+                sizes[id(doc)] = doc.size()
+            order[id(node)] = (sizes[id(doc)], len(doc.path_to_root(node)))
 
         while True:
             # One batch per interaction: the hypothesis is evaluated once
@@ -171,15 +231,13 @@ class InteractiveTwigSession:
                 break
             if max_questions is not None and stats.questions >= max_questions:
                 break
-            # Cheapest-to-inspect first: smaller documents, shallower nodes.
-            informative.sort(key=lambda c: (c[0].size(),
-                                            len(c[0].path_to_root(c[1]))))
-            candidate = informative[0]
+            # The first minimal element, as a stable sort would put first.
+            candidate = min(informative, key=lambda c: order[id(c[1])])
             pending.remove(candidate)
             stats.questions += 1
             stats.asked.append(self._descriptor[id(candidate[1])])
             if self.oracle.label(*candidate):
-                hypothesis = self._extend(hypothesis, candidate)
+                hypothesis = self._widened_query(hypothesis, candidate)
             else:
                 negatives.append(candidate)
             if self.prefetch and hypothesis is not None and pending:

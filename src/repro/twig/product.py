@@ -47,6 +47,8 @@ _SKIP_COST = 1
 _DESC_COST = 1
 
 Alignment = list[tuple[int, int]]
+#: A spine split into its axes and nodes (:func:`_spine_parts`).
+SpineParts = tuple[list[Axis], list[TwigNode]]
 
 
 def _copy_node(n: TwigNode) -> TwigNode:
@@ -117,7 +119,7 @@ def _deep_nodes(n: TwigNode) -> list[TwigNode]:
 # ---------------------------------------------------------------------------
 
 
-def _spine_parts(q: TwigQuery) -> tuple[list[Axis], list[TwigNode]]:
+def _spine_parts(q: TwigQuery) -> SpineParts:
     spine = q.spine()
     return [axis for axis, _ in spine], [n for _, n in spine]
 
@@ -150,16 +152,21 @@ def _move_cost(di: int, dj: int, child_edge: bool) -> int:
     return _SKIP_COST * skip + (0 if child_edge else _DESC_COST)
 
 
-def iter_alignments(p: TwigQuery, q: TwigQuery) -> Iterator[
-        tuple[int, Alignment]]:
+def iter_alignments(
+        p: TwigQuery, q: TwigQuery, *,
+        parts: tuple[SpineParts, SpineParts] | None = None,
+) -> Iterator[tuple[int, Alignment]]:
     """Yield ``(cost, alignment)`` pairs in non-decreasing cost order.
 
     An alignment is a strictly increasing sequence of index pairs into the
     two spines, ending at the selected pair.  Uniform-cost search; the
     number of alignments is exponential in spine length, so consume lazily.
+    ``parts`` is ``(_spine_parts(p), _spine_parts(q))`` when the caller
+    already holds it (each spine walk builds a full parent map).
     """
-    p_axes, p_nodes = _spine_parts(p)
-    q_axes, q_nodes = _spine_parts(q)
+    if parts is None:
+        parts = (_spine_parts(p), _spine_parts(q))
+    (p_axes, p_nodes), (q_axes, q_nodes) = parts
     k, m = len(p_nodes) - 1, len(q_nodes) - 1
 
     counter = 0
@@ -203,10 +210,9 @@ def _off_spine(spine_node: TwigNode,
 
 
 def _assemble(p: TwigQuery, q: TwigQuery, alignment: Alignment,
-              products: _BoolProducts) -> TwigQuery:
-    p_axes, p_nodes = _spine_parts(p)
-    q_axes, q_nodes = _spine_parts(q)
-    k, m = len(p_nodes) - 1, len(q_nodes) - 1
+              products: _BoolProducts,
+              parts: tuple[SpineParts, SpineParts]) -> TwigQuery:
+    (p_axes, p_nodes), (q_axes, q_nodes) = parts
 
     built: list[TwigNode] = []
     for idx, (i, j) in enumerate(alignment):
@@ -226,12 +232,14 @@ def _assemble(p: TwigQuery, q: TwigQuery, alignment: Alignment,
                 if products._labels_pair(uc.label, vc.label):
                     filters.append(
                         (combine_axes(a_axis, b_axis), products.node(uc, vc)))
+        deep_q = [_deep_nodes(vc) for _, vc in off_q]
         for _, uc in off_p:
-            for _, vc in off_q:
-                for w in _deep_nodes(vc):
+            deep_u = _deep_nodes(uc)
+            for (_, vc), deep_v in zip(off_q, deep_q):
+                for w in deep_v:
                     if products._labels_pair(uc.label, w.label):
                         filters.append((Axis.DESC, products.node(uc, w)))
-                for w in _deep_nodes(uc):
+                for w in deep_u:
                     if products._labels_pair(w.label, vc.label):
                         filters.append((Axis.DESC, products.node(w, vc)))
         node.branches = prune_redundant_branches(filters)
@@ -262,8 +270,9 @@ def product(p: TwigQuery, q: TwigQuery, *,
     ``practical=False`` for the exhaustive Boolean product on small queries.
     """
     products = _BoolProducts(practical)
-    for _, alignment in iter_alignments(p, q):
-        return _assemble(p, q, alignment, products)
+    parts = (_spine_parts(p), _spine_parts(q))
+    for _, alignment in iter_alignments(p, q, parts=parts):
+        return _assemble(p, q, alignment, products, parts)
     raise AssertionError("spine alignment search yielded no alignment")
 
 
@@ -276,9 +285,10 @@ def iter_products(p: TwigQuery, q: TwigQuery, *, practical: bool = True,
     cheapest generalisation selects a negative example.
     """
     products = _BoolProducts(practical)
+    parts = (_spine_parts(p), _spine_parts(q))
     count = 0
-    for _, alignment in iter_alignments(p, q):
-        yield _assemble(p, q, alignment, products)
+    for _, alignment in iter_alignments(p, q, parts=parts):
+        yield _assemble(p, q, alignment, products, parts)
         count += 1
         if limit is not None and count >= limit:
             return

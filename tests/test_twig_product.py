@@ -1,12 +1,19 @@
 """The product construction: generalisation and least-ness properties."""
 
+import itertools
+
 from hypothesis import given, settings
 
 from repro.twig.anchored import anchor_repair
 from repro.twig.embedding import contains
 from repro.twig.normalize import minimize
 from repro.twig.parse import parse_twig
-from repro.twig.product import iter_alignments, iter_products, product
+from repro.twig.product import (
+    _spine_parts,
+    iter_alignments,
+    iter_products,
+    product,
+)
 from repro.twig.semantics import evaluate
 from repro.xmltree.tree import XTree
 
@@ -92,3 +99,37 @@ def test_practical_mode_stays_general():
     p = product(q("/a[b]/c"), q("/a[x]/c"), practical=True)
     # With only distinct filter labels, practical mode drops them entirely.
     assert p == q("/a/c")
+
+
+@settings(max_examples=25, deadline=None)
+@given(twig_queries(max_depth=2), twig_queries(max_depth=2))
+def test_product_leaves_its_inputs_unchanged(p1, p2):
+    """The interactive session shares one canonical query per candidate
+    across many products; that is only sound if no product mutates it."""
+    before = (p1.canonical(), p2.canonical())
+    product(p1, p2, practical=False)
+    product(p1, p2, practical=True)
+    for _ in iter_products(p1, p2, practical=False, limit=4):
+        pass
+    assert (p1.canonical(), p2.canonical()) == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(twig_queries(max_depth=3))
+def test_anchor_repair_and_minimize_leave_input_unchanged(query):
+    """The rest of the session's widening step shares that contract, and
+    minimize never hands back its input object."""
+    before = query.canonical()
+    repaired, _ = anchor_repair(query)
+    assert minimize(repaired) is not repaired
+    assert query.canonical() == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(twig_queries(max_depth=3), twig_queries(max_depth=3))
+def test_iter_alignments_same_with_precomputed_parts(p1, p2):
+    parts = (_spine_parts(p1), _spine_parts(p2))
+    plain = list(itertools.islice(iter_alignments(p1, p2), 30))
+    given_parts = list(itertools.islice(
+        iter_alignments(p1, p2, parts=parts), 30))
+    assert plain and plain == given_parts
