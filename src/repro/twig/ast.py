@@ -130,33 +130,29 @@ class TwigQuery:
     def depth(self) -> int:
         return self.root.depth()
 
-    def parent_map(self) -> dict[int, tuple[TwigNode, Axis] | None]:
-        """Map ``id(node) -> (parent, axis)`` (``None`` for the root)."""
-        parents: dict[int, tuple[TwigNode, Axis] | None] = {id(self.root): None}
-        for n in self.root.iter():
-            for axis, child in n.branches:
-                parents[id(child)] = (n, axis)
-        return parents
-
     def spine(self) -> list[tuple[Axis, TwigNode]]:
         """The path from the root to the selected node.
 
         Returns ``[(root_axis, root), (axis1, n1), ..., (axisk, selected)]``.
+        A depth-first walk that keeps the current path on a stack and
+        stops at the selected node.
         """
-        parents = self.parent_map()
-        path: list[tuple[Axis, TwigNode]] = []
-        current: TwigNode | None = self.selected
-        while current is not None:
-            entry = parents[id(current)]
-            if entry is None:
-                path.append((self.root_axis, current))
-                current = None
+        target = self.selected
+        path = [(self.root_axis, self.root)]
+        if self.root is target:
+            return path
+        pending = [iter(self.root.branches)]
+        while pending:
+            for axis, child in pending[-1]:
+                path.append((axis, child))
+                if child is target:
+                    return path
+                pending.append(iter(child.branches))
+                break
             else:
-                parent, axis = entry
-                path.append((axis, current))
-                current = parent
-        path.reverse()
-        return path
+                pending.pop()
+                path.pop()
+        raise ValueError("selected node must belong to the query pattern")
 
     def copy(self) -> "TwigQuery":
         root_copy, mapping = self.root.copy_with_map()

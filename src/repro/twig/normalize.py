@@ -17,6 +17,17 @@ subtree contains the selected node are never removed.
 The implication relation is transitive, and ties between mutually-implied
 (equivalent) branches are broken by keeping the earliest, so a single sweep
 per node is sound.
+
+One sweep, one memo: a sweep (one :func:`_prune_branches` call) shares a
+single Boolean-embedding memo and one cache of subtree node lists across
+all the branch pairs it compares.  Both are keyed by node identity, which
+is sound only while every node they have seen is alive and unchanged: true
+within a sweep, which neither frees nor mutates a node.  Across sweeps it
+is not guaranteed.  The product frees the copies a sweep pruned away, and
+CPython reuses their ids for new nodes; :func:`minimize` rewrites branch
+lists between sweeps (its bottom-up order happens never to revisit a
+rewritten node, but nothing should depend on that).  So no memo outlives
+its sweep.
 """
 
 from __future__ import annotations
@@ -24,46 +35,69 @@ from __future__ import annotations
 from repro.twig.ast import Axis, TwigNode, TwigQuery
 
 
+class _Sweep:
+    """Boolean embeddings memoised for one pruning sweep (see the module
+    docstring for why it must not outlive it)."""
+
+    __slots__ = ("_memo", "_subtrees")
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple[int, int], bool] = {}
+        self._subtrees: dict[int, list[TwigNode]] = {}
+
+    def subtree(self, v: TwigNode) -> list[TwigNode]:
+        """``v`` and all its descendants, pre-order."""
+        nodes = self._subtrees.get(id(v))
+        if nodes is None:
+            nodes = self._subtrees[id(v)] = list(v.iter())
+        return nodes
+
+    def embeds(self, u: TwigNode, v: TwigNode) -> bool:
+        """Boolean embedding of ``u`` into ``v``, root to root."""
+        if not u.is_wildcard and u.label != v.label:
+            return False
+        key = (id(u), id(v))
+        ok = self._memo.get(key)
+        if ok is not None:
+            return ok
+        ok = True
+        for axis, uc in u.branches:
+            if axis is Axis.CHILD:
+                found = any(self.embeds(uc, vc)
+                            for a, vc in v.branches if a is Axis.CHILD)
+            else:
+                below = self.subtree(v)
+                found = any(self.embeds(uc, below[k])
+                            for k in range(1, len(below)))
+            if not found:
+                ok = False
+                break
+        self._memo[key] = ok
+        return ok
+
+    def implies(self, stronger: tuple[Axis, TwigNode],
+                weaker: tuple[Axis, TwigNode]) -> bool:
+        axis_s, sub_s = stronger
+        axis_w, sub_w = weaker
+        if axis_w is Axis.CHILD:
+            return axis_s is Axis.CHILD and self.embeds(sub_w, sub_s)
+        # weaker is a descendant branch: any placement in the stronger
+        # subtree sits at depth >= 1 below the shared parent.
+        return any(self.embeds(sub_w, v) for v in self.subtree(sub_s))
+
+
 def bool_embeds_at(pattern: TwigNode, target: TwigNode) -> bool:
     """Boolean embedding of ``pattern`` into the subtree at ``target``.
 
     Root maps to root; no selected-node constraints.
     """
-    memo: dict[tuple[int, int], bool] = {}
-
-    def go(u: TwigNode, v: TwigNode) -> bool:
-        key = (id(u), id(v))
-        if key in memo:
-            return memo[key]
-        if u.is_wildcard:
-            ok = True
-        else:
-            ok = (not v.is_wildcard) and u.label == v.label
-        if ok:
-            for axis, uc in u.branches:
-                if axis is Axis.CHILD:
-                    targets = [c for a, c in v.branches if a is Axis.CHILD]
-                else:
-                    targets = [d for _, c in v.branches for d in c.iter()]
-                if not any(go(uc, vc) for vc in targets):
-                    ok = False
-                    break
-        memo[key] = ok
-        return ok
-
-    return go(pattern, target)
+    return _Sweep().embeds(pattern, target)
 
 
 def branch_implies(stronger: tuple[Axis, TwigNode],
                    weaker: tuple[Axis, TwigNode]) -> bool:
     """Does the ``stronger`` branch imply the ``weaker`` one at the same node?"""
-    axis_s, sub_s = stronger
-    axis_w, sub_w = weaker
-    if axis_w is Axis.CHILD:
-        return axis_s is Axis.CHILD and bool_embeds_at(sub_w, sub_s)
-    # weaker is a descendant branch: any placement in the stronger subtree
-    # sits at depth >= 1 below the shared parent.
-    return any(bool_embeds_at(sub_w, v) for v in sub_s.iter())
+    return _Sweep().implies(stronger, weaker)
 
 
 def _prune_branches(
@@ -73,8 +107,12 @@ def _prune_branches(
     """Drop branches implied by a surviving sibling.
 
     ``protected`` holds ids of subtree roots that must survive (they contain
-    the selected node).  Equivalent pairs keep the earliest branch.
+    the selected node).  Equivalent pairs keep the earliest branch.  One
+    :class:`_Sweep` serves every comparison of this call.
     """
+    if len(branches) < 2:
+        return list(branches)
+    sweep = _Sweep()
     removed: set[int] = set()
     for i, bi in enumerate(branches):
         if id(bi[1]) in protected:
@@ -82,8 +120,8 @@ def _prune_branches(
         for j, bj in enumerate(branches):
             if i == j or j in removed:
                 continue
-            if branch_implies(bj, bi):
-                if not branch_implies(bi, bj) or j < i:
+            if sweep.implies(bj, bi):
+                if not sweep.implies(bi, bj) or j < i:
                     removed.add(i)
                     break
     return [b for i, b in enumerate(branches) if i not in removed]

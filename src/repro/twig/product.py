@@ -49,6 +49,8 @@ _DESC_COST = 1
 Alignment = list[tuple[int, int]]
 #: A spine split into its axes and nodes (:func:`_spine_parts`).
 SpineParts = tuple[list[Axis], list[TwigNode]]
+#: Pairing partners by :meth:`_BoolProducts.key`, each list in input order.
+PartnerIndex = dict[str | None, list]
 
 
 def _copy_node(n: TwigNode) -> TwigNode:
@@ -62,22 +64,81 @@ def _product_label(a: str, b: str) -> str:
 
 
 class _BoolProducts:
-    """Memoised Boolean products of subpattern pairs.
+    """Memoised Boolean products of subpattern pairs, for one product call.
 
     ``practical=True`` pairs only equal labels (the mode used when examples
     are whole documents: mismatched-label pairs produce ``*`` branches that
     are almost always pruned anyway, and skipping them keeps the product
     from exploding).  ``practical=False`` is the exact construction.
+
+    Pairing partners come from per-node indexes of the partner lists (a
+    node's children and the nodes strictly below them), keyed by label in
+    practical mode and by one shared key otherwise, so practical mode looks
+    its partners up instead of scanning every pair.  Each index keeps its
+    list's order, so branch order (and with it every prune tie-break) is
+    that of the exhaustive scan.  The indexes are keyed by input node: the
+    inputs are never mutated, and the object lives for one product call.
     """
 
     def __init__(self, practical: bool) -> None:
         self.practical = practical
         self._memo: dict[tuple[int, int], TwigNode] = {}
+        self._deep: dict[int, list[TwigNode]] = {}
+        self._children: dict[int, PartnerIndex] = {}
+        self._below: dict[int, PartnerIndex] = {}
+        self._inside: dict[int, PartnerIndex] = {}
 
-    def _labels_pair(self, a: str, b: str) -> bool:
+    def key(self, label: str) -> str | None:
+        """The index key of a node with this label."""
+        return label if self.practical else None
+
+    def index(self, items: list, nodes: list[TwigNode]) -> PartnerIndex:
+        """``items`` grouped by the key of the parallel ``nodes``, in order."""
         if not self.practical:
-            return True
-        return a == b
+            return {None: items} if items else {}
+        index: PartnerIndex = {}
+        for item, n in zip(items, nodes):
+            bucket = index.get(n.label)
+            if bucket is None:
+                index[n.label] = [item]
+            else:
+                bucket.append(item)
+        return index
+
+    def deep_nodes(self, n: TwigNode) -> list[TwigNode]:
+        """Nodes at depth >= 2 below the parent of ``n`` (i.e. inside ``n``)."""
+        out = self._deep.get(id(n))
+        if out is None:
+            out = []
+            for _, child in n.branches:
+                out.append(child)
+                out.extend(self.deep_nodes(child))
+            self._deep[id(n)] = out
+        return out
+
+    def children(self, n: TwigNode) -> PartnerIndex:
+        """``n``'s branches, indexed."""
+        index = self._children.get(id(n))
+        if index is None:
+            index = self._children[id(n)] = self.index(
+                n.branches, [c for _, c in n.branches])
+        return index
+
+    def below(self, n: TwigNode) -> PartnerIndex:
+        """The deep nodes of ``n``'s children, indexed."""
+        index = self._below.get(id(n))
+        if index is None:
+            nodes = [w for _, c in n.branches for w in self.deep_nodes(c)]
+            index = self._below[id(n)] = self.index(nodes, nodes)
+        return index
+
+    def inside(self, n: TwigNode) -> PartnerIndex:
+        """The deep nodes of ``n``, indexed."""
+        index = self._inside.get(id(n))
+        if index is None:
+            nodes = self.deep_nodes(n)
+            index = self._inside[id(n)] = self.index(nodes, nodes)
+        return index
 
     def node(self, u: TwigNode, v: TwigNode) -> TwigNode:
         key = (id(u), id(v))
@@ -85,33 +146,24 @@ class _BoolProducts:
         if cached is not None:
             return _copy_node(cached)
         result = TwigNode(_product_label(u.label, v.label))
+        if not u.branches or not v.branches:
+            return result  # every pairing needs a branch on both sides
         branches: list[tuple[Axis, TwigNode]] = []
-        v_deep = [d for _, vc in v.branches for d in _deep_nodes(vc)]
-        u_deep = [d for _, uc in u.branches for d in _deep_nodes(uc)]
+        v_children, v_below = self.children(v), self.below(v)
         for a_axis, uc in u.branches:
-            for b_axis, vc in v.branches:
-                if self._labels_pair(uc.label, vc.label):
-                    branches.append(
-                        (combine_axes(a_axis, b_axis), self.node(uc, vc)))
-            for w in v_deep:
-                if self._labels_pair(uc.label, w.label):
-                    branches.append((Axis.DESC, self.node(uc, w)))
+            k = self.key(uc.label)
+            for b_axis, vc in v_children.get(k, ()):
+                branches.append(
+                    (combine_axes(a_axis, b_axis), self.node(uc, vc)))
+            for w in v_below.get(k, ()):
+                branches.append((Axis.DESC, self.node(uc, w)))
+        u_below = self.below(u)
         for _, vc in v.branches:
-            for w in u_deep:
-                if self._labels_pair(w.label, vc.label):
-                    branches.append((Axis.DESC, self.node(w, vc)))
+            for w in u_below.get(self.key(vc.label), ()):
+                branches.append((Axis.DESC, self.node(w, vc)))
         result.branches = prune_redundant_branches(branches)
         self._memo[key] = result
         return _copy_node(result)
-
-
-def _deep_nodes(n: TwigNode) -> list[TwigNode]:
-    """Nodes at depth >= 2 below the parent of ``n`` (i.e. inside ``n``)."""
-    out: list[TwigNode] = []
-    for _, child in n.branches:
-        out.append(child)
-        out.extend(_deep_nodes(child))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +214,8 @@ def iter_alignments(
     two spines, ending at the selected pair.  Uniform-cost search; the
     number of alignments is exponential in spine length, so consume lazily.
     ``parts`` is ``(_spine_parts(p), _spine_parts(q))`` when the caller
-    already holds it (each spine walk builds a full parent map).
+    already holds it, which saves walking both queries to their selected
+    nodes again.
     """
     if parts is None:
         parts = (_spine_parts(p), _spine_parts(q))
@@ -227,21 +280,19 @@ def _assemble(p: TwigQuery, q: TwigQuery, alignment: Alignment,
         off_p = _off_spine(pn, p_spine_child)
         off_q = _off_spine(qn, q_spine_child)
         filters: list[tuple[Axis, TwigNode]] = []
+        q_children = products.index(off_q, [c for _, c in off_q])
         for a_axis, uc in off_p:
-            for b_axis, vc in off_q:
-                if products._labels_pair(uc.label, vc.label):
-                    filters.append(
-                        (combine_axes(a_axis, b_axis), products.node(uc, vc)))
-        deep_q = [_deep_nodes(vc) for _, vc in off_q]
+            for b_axis, vc in q_children.get(products.key(uc.label), ()):
+                filters.append(
+                    (combine_axes(a_axis, b_axis), products.node(uc, vc)))
         for _, uc in off_p:
-            deep_u = _deep_nodes(uc)
-            for (_, vc), deep_v in zip(off_q, deep_q):
-                for w in deep_v:
-                    if products._labels_pair(uc.label, w.label):
-                        filters.append((Axis.DESC, products.node(uc, w)))
-                for w in deep_u:
-                    if products._labels_pair(w.label, vc.label):
-                        filters.append((Axis.DESC, products.node(w, vc)))
+            k = products.key(uc.label)
+            inside_u = products.inside(uc)
+            for _, vc in off_q:
+                for w in products.inside(vc).get(k, ()):
+                    filters.append((Axis.DESC, products.node(uc, w)))
+                for w in inside_u.get(products.key(vc.label), ()):
+                    filters.append((Axis.DESC, products.node(w, vc)))
         node.branches = prune_redundant_branches(filters)
         built.append(node)
 

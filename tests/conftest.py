@@ -98,6 +98,63 @@ def twig_queries(draw, max_depth: int = 3) -> TwigQuery:
     return TwigQuery(root_axis, root, selected)
 
 
+#: XMark sections small enough for the exact (``practical=False``) product.
+XMARK_SECTIONS = ("people", "open_auctions", "closed_auctions")
+
+
+@st.composite
+def generator_twig_pairs(draw, practical: bool) -> tuple[TwigQuery, TwigQuery]:
+    """Pairs of queries from :mod:`repro.twig.generator`, as the learner
+    meets them.
+
+    Either two goal-style :func:`random_twig` queries, or canonical queries
+    of two same-label nodes of generated XMark documents (whole documents
+    for ``practical=True``; one section each for the exact product, which
+    grows fast with size).  The first query is sometimes replaced by the
+    minimised product of itself and a third one: a widened hypothesis.
+    """
+    from repro.datasets.xmark import generate_xmark
+    from repro.twig.anchored import anchor_repair
+    from repro.twig.generator import canonical_query_for_node, random_twig
+    from repro.twig.normalize import minimize
+    from repro.twig.product import product
+
+    def goal() -> TwigQuery:
+        # Few labels and deep, frequent filters: the shapes on which the
+        # product's pairing order and the pruning tie-breaks matter.
+        return random_twig(
+            LABELS[:draw(st.integers(2, 3))],
+            spine_length=draw(st.integers(1, 3)),
+            filter_probability=draw(st.sampled_from((0.9, 0.6))),
+            desc_probability=draw(st.sampled_from((0.3, 0.0, 0.6))),
+            wildcard_probability=draw(st.sampled_from((0.0, 0.2))),
+            max_filter_depth=draw(st.sampled_from((3, 2))),
+            rng=draw(st.integers(0, 10**6)))
+
+    if draw(st.booleans()):
+        queries = [goal() for _ in range(3)]
+    else:
+        section = draw(st.sampled_from(XMARK_SECTIONS))
+        docs = []
+        for _ in range(3):
+            doc = generate_xmark(scale=0.01, rng=draw(st.integers(0, 10**6)))
+            if not practical:
+                doc = XTree(next(c for c in doc.root.children
+                                 if c.label == section))
+            docs.append(doc)
+        target = draw(st.sampled_from(list(docs[0].nodes())))
+        queries = [canonical_query_for_node(docs[0], target)]
+        for doc in docs[1:]:
+            same = [n for n in doc.nodes() if n.label == target.label]
+            queries.append(canonical_query_for_node(
+                doc, draw(st.sampled_from(same or list(doc.nodes())))))
+    p, q, third = queries
+    if draw(st.booleans()):
+        widened, _ = anchor_repair(product(p, third, practical=practical))
+        p = minimize(widened)
+    return p, q
+
+
 # ---------------------------------------------------------------------------
 # Seeded edit scripts through the tracked mutators
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.twig.product import product
 from repro.twig.semantics import evaluate
 from repro.xmltree.tree import XTree
 
-from .conftest import xml
+from .conftest import XMARK_SECTIONS, xml
 
 
 def docs():
@@ -150,10 +150,6 @@ def _run(cls, docs, goal, **kwargs):
     return _outcome(result), backend
 
 
-#: XMark sections small enough for the exact (``practical=False``) product.
-_SECTIONS = ("people", "open_auctions", "closed_auctions")
-
-
 @st.composite
 def xmark_sessions(draw, practical: bool):
     """Generated XMark corpora with a goal that selects some of them.
@@ -163,7 +159,7 @@ def xmark_sessions(draw, practical: bool):
     no filter, since the exact product grows fast with document size.
     """
     seeds = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=3))
-    section = draw(st.sampled_from(_SECTIONS))
+    section = draw(st.sampled_from(XMARK_SECTIONS))
     docs = []
     for seed in seeds:
         site = generate_xmark(scale=0.01, rng=seed)
@@ -226,3 +222,65 @@ def test_rerun_resets_the_memo():
     assert _outcome(session.run()) == first
     assert (backend.selects_any_calls,
             backend.canonical_query_calls) == tuple(2 * c for c in calls)
+
+
+# ---------------------------------------------------------------------------
+# Committed outcomes
+# ---------------------------------------------------------------------------
+# Recorded once and committed, so a change to the learner that alters a
+# question, the learned query or the implied counts fails here even when it
+# alters them on every backend alike (which backend-invariance checks, and
+# sessionbench's reference recorded by the same code, cannot see).
+
+_GOLDEN = [
+    # (document seeds, goal, label filter, practical, section), then the
+    # learned query, the questions asked, and (questions, implied positive,
+    # implied negative).
+    (((11, 12, 13), "//person/name", "name", True, None),
+     "/site[regions[africa][asia][australia][europe][namerica][samerica]]"
+     "[categories/category[@id][name][description]][catgraph/edge[@from]"
+     "[@to]][open_auctions/open_auction[@id][initial][bidder[date][time]"
+     "[increase]][current][itemref/@item][seller/@person][annotation"
+     "[author/@person][happiness]][quantity][type][interval[start][end]]]"
+     "[closed_auctions/closed_auction[seller/@person][buyer/@person]"
+     "[itemref/@item][price][date][quantity][type][annotation"
+     "[author/@person][description][happiness]]]/people[person[@id][name]"
+     "[emailaddress]]/person[@id][emailaddress]/name",
+     ((2, 30), (2, 42), (2, 52), (0, 77)), (4, 3, 11)),
+    (((21, 22, 23), "//item/name", "name", True, None),
+     "/site[categories/category[@id][name][description/text]][catgraph]"
+     "[people/person[@id][name][emailaddress][phone]][open_auctions]"
+     "[closed_auctions]/regions[asia][australia][namerica][samerica/item"
+     "[@id][location][quantity][name][payment][description//text]"
+     "[shipping][incategory/@category][mailbox]]/*/item[@id][location]"
+     "[quantity][payment][description][shipping][incategory/@category]"
+     "[mailbox]/name",
+     ((0, 150), (0, 161), (0, 171), (0, 7), (0, 41), (0, 54), (1, 7),
+      (2, 7)), (8, 19, 3)),
+    (((31, 32, 33), "//person/emailaddress", None, False, "people"),
+     "/people[person[@id][name][emailaddress][*/*]]/person[@id][name][*/*]"
+     "/emailaddress",
+     ((0, 0), (0, 1), (0, 11), (0, 2), (0, 3), (0, 4), (0, 14)),
+     (7, 1, 32)),
+]
+
+
+@pytest.mark.parametrize("corpus, xpath, asked, counts", _GOLDEN,
+                         ids=["person-name", "item-name", "exact-people"])
+def test_session_outcome_matches_committed_golden(corpus, xpath, asked,
+                                                  counts):
+    seeds, goal, label_filter, practical, section = corpus
+    docs = [generate_xmark(scale=0.03 if practical else 0.02, rng=seed)
+            for seed in seeds]
+    if section is not None:
+        docs = [XTree(next(c for c in d.root.children if c.label == section))
+                for d in docs]
+    result = InteractiveTwigSession(
+        docs, parse_twig(goal), label_filter=label_filter,
+        max_pool=30 if practical else 40, practical=practical,
+        backend=LocalBackend(Engine())).run()
+    stats = result.stats
+    assert result.query.to_xpath() == xpath
+    assert tuple(stats.asked) == asked
+    assert (stats.questions, stats.implied_positive,
+            stats.implied_negative) == counts

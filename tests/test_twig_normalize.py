@@ -1,19 +1,27 @@
 """Minimisation: removes redundancy, preserves semantics."""
 
-from hypothesis import given, settings
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serving.wire import encode_twig_query
 from repro.twig.embedding import equivalent
 from repro.twig.normalize import (
     branch_implies,
     bool_embeds_at,
     minimize,
+    prune_redundant_branches,
 )
-from repro.twig.ast import Axis
+from repro.twig.ast import Axis, TwigNode, twig
 from repro.twig.parse import parse_twig
+from repro.twig.product import product
 from repro.twig.semantics import evaluate
 from repro.xmltree.tree import XTree
 
-from .conftest import twig_queries, xnode_trees
+from . import twig_kernels_reference as reference
+from .conftest import generator_twig_pairs, twig_queries, xnode_trees
 
 
 def q(text):
@@ -94,3 +102,82 @@ def test_minimize_preserves_answers(query, tree):
 @given(twig_queries(max_depth=3))
 def test_minimize_never_grows(query):
     assert minimize(query).size() <= query.size()
+
+
+# ---------------------------------------------------------------------------
+# The kernels against their straightforward reference versions
+# ---------------------------------------------------------------------------
+
+
+def _spine_ids(path):
+    return [(axis, id(n)) for axis, n in path]
+
+
+@settings(max_examples=40, deadline=None)
+@given(twig_queries(max_depth=4))
+def test_spine_matches_parent_map_reference(query):
+    assert _spine_ids(query.spine()) == _spine_ids(reference.spine(query))
+
+
+@pytest.mark.parametrize("practical", [True, False])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_spine_matches_reference_on_generated_queries(practical, data):
+    p1, p2 = data.draw(generator_twig_pairs(practical))
+    for query in (p1, p2, product(p1, p2, practical=practical)):
+        assert _spine_ids(query.spine()) == _spine_ids(reference.spine(query))
+
+
+def test_spine_rejects_a_foreign_selected_node():
+    query = q("/a/b")
+    query.selected = TwigNode("b")
+    with pytest.raises(ValueError, match="selected node"):
+        query.spine()
+
+
+def test_no_verdict_outlives_its_sweep():
+    """Each sweep frees its nodes, and CPython hands their ids to the next
+    sweep's nodes: a memo kept across sweeps would answer for the dead."""
+    for _ in range(100):
+        implied = [(Axis.CHILD, twig("a")),
+                   (Axis.CHILD, twig("a", (Axis.CHILD, twig("b"))))]
+        assert len(prune_redundant_branches(implied)) == 1
+        del implied
+        incomparable = [(Axis.CHILD, twig("a", (Axis.CHILD, twig("c")))),
+                        (Axis.CHILD, twig("a", (Axis.CHILD, twig("b"))))]
+        assert len(prune_redundant_branches(incomparable)) == 2
+        del incomparable
+
+
+def _branch_ids(branches):
+    return [(axis, id(n)) for axis, n in branches]
+
+
+def _sample(nodes, k=12):
+    nodes = list(nodes)
+    return nodes[::max(1, len(nodes) // k)]
+
+
+@pytest.mark.parametrize("practical", [True, False])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pruning_kernels_match_reference(practical, data):
+    p1, p2 = data.draw(generator_twig_pairs(practical))
+    prod = product(p1, p2, practical=practical)
+    for query in (p1, p2, prod):
+        minimised = minimize(query)
+        assert (encode_twig_query(minimised)
+                == encode_twig_query(reference.minimize(query)))
+        for n in query.nodes():
+            assert (_branch_ids(prune_redundant_branches(n.branches))
+                    == _branch_ids(reference.prune_redundant_branches(
+                        n.branches)))
+    # Sibling lists with cross-query redundancy: both roots' branches.
+    pooled = p1.root.branches + p2.root.branches + prod.root.branches
+    assert (_branch_ids(prune_redundant_branches(pooled))
+            == _branch_ids(reference.prune_redundant_branches(pooled)))
+    for u, v in itertools.product(_sample(p1.nodes()), _sample(p2.nodes())):
+        assert bool_embeds_at(u, v) == reference.bool_embeds_at(u, v)
+        for a, b in itertools.product(Axis, Axis):
+            assert (branch_implies((a, u), (b, v))
+                    == reference.branch_implies((a, u), (b, v)))

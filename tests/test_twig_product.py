@@ -2,8 +2,11 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.serving.wire import encode_twig_query
 from repro.twig.anchored import anchor_repair
 from repro.twig.embedding import contains
 from repro.twig.normalize import minimize
@@ -17,7 +20,8 @@ from repro.twig.product import (
 from repro.twig.semantics import evaluate
 from repro.xmltree.tree import XTree
 
-from .conftest import twig_queries, xnode_trees
+from . import twig_kernels_reference as reference
+from .conftest import generator_twig_pairs, twig_queries, xnode_trees
 
 
 def q(text):
@@ -133,3 +137,39 @@ def test_iter_alignments_same_with_precomputed_parts(p1, p2):
     given_parts = list(itertools.islice(
         iter_alignments(p1, p2, parts=parts), 30))
     assert plain and plain == given_parts
+
+
+def _assert_products_match_reference(p1, p2, practical):
+    for a, b in ((p1, p2), (p2, p1)):
+        assert (encode_twig_query(product(a, b, practical=practical))
+                == encode_twig_query(
+                    reference.product(a, b, practical=practical)))
+    fast = [encode_twig_query(x)
+            for x in iter_products(p1, p2, practical=practical, limit=3)]
+    slow = [encode_twig_query(x)
+            for x in reference.iter_products(p1, p2, practical=practical,
+                                             limit=3)]
+    assert fast == slow
+
+
+@pytest.mark.parametrize("practical", [True, False])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_kernels_match_reference(practical, data):
+    """Node for node, branch order included: the label index and the
+    memoised deep-node lists change how partners are found, not which
+    ones or in what order."""
+    p1, p2 = data.draw(generator_twig_pairs(practical))
+    _assert_products_match_reference(p1, p2, practical)
+
+
+@pytest.mark.parametrize("practical, first, second", [
+    # Pairs on which the order of the two descendant pairings of a
+    # filter pair shows in the product's branch order.
+    (False, "//a[b//c/b]/b[c/b/a]/a[a//c//c]", "/a[a/b//b]/b[c//c/a]/a"),
+    (True, "/b[b//a//b]//b[c/b/a]", "//a[a//a//b]//b[b/b/c]"),
+    (False, "//a[c//c/a]/c[b/a//a]/a[c/c/b]", "//b/c//a[.//c/b/c]"),
+])
+def test_product_matches_reference_on_order_sensitive_pairs(
+        practical, first, second):
+    _assert_products_match_reference(q(first), q(second), practical)
