@@ -19,7 +19,6 @@ storage buys:
 
 from __future__ import annotations
 
-import statistics
 import time
 
 from repro.datasets.xmark import generate_xmark
@@ -31,7 +30,7 @@ from repro.twig.parse import parse_twig
 from repro.twig.semantics import evaluate, evaluate_naive
 from repro.util.tables import format_table
 
-from .conftest import record_report
+from .conftest import TRIALS, median_speedup, record_report
 
 #: The bench_engine_cache workload: the queries an interactive XMark
 #: session keeps re-evaluating.
@@ -48,34 +47,10 @@ WORKLOAD = (
 ROUNDS = 20
 #: The acceptance bar: warm columnar rounds vs the object-walking seed.
 WARM_SPEEDUP_BAR = 10.0
-#: Interleaved naive/warm trials behind each speedup gate.  The gate reads
-#: the median per-trial ratio: one single-shot loop on a busy machine
-#: measured anywhere from 8x to 15x for the same code.
-TRIALS = 5
 
 
 def _run_workload(evaluator, doc, queries) -> list[tuple[int, ...]]:
     return [tuple(id(n) for n in evaluator(q, doc)) for q in queries]
-
-
-def _per_call(fn) -> float:
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        fn()
-    return (time.perf_counter() - start) / ROUNDS
-
-
-def _median_speedup(naive, warm) -> tuple[float, float, float]:
-    """``(naive s/call, warm s/call, speedup)``, each the median over
-    :data:`TRIALS` trials of :data:`ROUNDS` naive then warm calls."""
-    naive_times, warm_times, ratios = [], [], []
-    for _ in range(TRIALS):
-        naive_s, warm_s = _per_call(naive), _per_call(warm)
-        naive_times.append(naive_s)
-        warm_times.append(warm_s)
-        ratios.append(naive_s / warm_s if warm_s else float("inf"))
-    return (statistics.median(naive_times), statistics.median(warm_times),
-            statistics.median(ratios))
 
 
 def test_columnar_twig_speedup(benchmark):
@@ -110,9 +85,9 @@ def test_columnar_twig_speedup(benchmark):
     assert warm is not None
     # Object walking (full per-call index rebuild + set DP) against warm
     # columnar rounds, interleaved.
-    naive_per_round, warm_per_round, speedup = _median_speedup(
+    naive_per_round, warm_per_round, speedup = median_speedup(
         lambda: _run_workload(evaluate_naive, doc, queries),
-        lambda: _run_workload(evaluate, doc, queries))
+        lambda: _run_workload(evaluate, doc, queries), ROUNDS)
     miss_speedup = naive_per_round / uncached_round \
         if uncached_round else float("inf")
     table = format_table(
@@ -154,9 +129,9 @@ def test_columnar_rpq_speedup(benchmark):
 
     pairs = benchmark(lambda: evaluate_rpq(query, graph))
     assert pairs
-    naive_per_call, warm_per_call, speedup = _median_speedup(
+    naive_per_call, warm_per_call, speedup = median_speedup(
         lambda: evaluate_rpq_naive(query, graph),
-        lambda: evaluate_rpq(query, graph))
+        lambda: evaluate_rpq(query, graph), ROUNDS)
     cold_speedup = naive_per_call / cold_call if cold_call else float("inf")
     table = format_table(
         ["path", "ms / evaluate_rpq"],

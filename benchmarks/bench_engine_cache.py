@@ -5,7 +5,8 @@ workload of queries against the *same* XMark document again and again.
 The naive path rebuilds the full tree index per call; the engine builds it
 once and serves repeats from the canonical-query result cache.  The
 acceptance bar for this PR: warm engine rounds at least 5x faster than the
-uncached seed path, with byte-identical answers.
+uncached seed path, with byte-identical answers.  Each gate reads the
+median of interleaved naive/warm trials (:func:`conftest.median_speedup`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.twig.parse import parse_twig
 from repro.twig.semantics import evaluate, evaluate_naive
 from repro.util.tables import format_table
 
-from .conftest import record_report
+from .conftest import TRIALS, median_speedup, record_report
 
 WORKLOAD = (
     "/site/people/person/name",
@@ -46,12 +47,6 @@ def test_engine_cache_speedup(benchmark):
     assert _run_workload(evaluate, doc, queries) == \
         _run_workload(evaluate_naive, doc, queries)
 
-    # Uncached seed path: every round rebuilds the index per query.
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        _run_workload(evaluate_naive, doc, queries)
-    naive_per_round = (time.perf_counter() - start) / ROUNDS
-
     # Engine: one cold round (index + first evaluation), then warm rounds.
     reset_engine()
     start = time.perf_counter()
@@ -61,13 +56,12 @@ def test_engine_cache_speedup(benchmark):
     warm_rounds = benchmark.pedantic(
         lambda: _run_workload(evaluate, doc, queries),
         rounds=ROUNDS, iterations=1)
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        _run_workload(evaluate, doc, queries)
-    warm_per_round = (time.perf_counter() - start) / ROUNDS
     assert warm_rounds is not None
-
-    speedup = naive_per_round / warm_per_round if warm_per_round else float("inf")
+    # The uncached seed path (every round rebuilds the index per query)
+    # against warm engine rounds, interleaved.
+    naive_per_round, warm_per_round, speedup = median_speedup(
+        lambda: _run_workload(evaluate_naive, doc, queries),
+        lambda: _run_workload(evaluate, doc, queries), ROUNDS)
     stats = get_engine().stats()
     table = format_table(
         ["path", "ms / workload round"],
@@ -80,7 +74,8 @@ def test_engine_cache_speedup(benchmark):
              f"{stats['twig_query_hits']}/{stats['twig_query_misses']}"),
         ],
         title=(f"engine cache: {len(WORKLOAD)} XMark queries x {ROUNDS} "
-               f"rounds over one fixed document (|t|={doc.size()})"),
+               f"rounds over one fixed document (|t|={doc.size()}), "
+               f"median of {TRIALS} trials"),
     )
     record_report("ENGINE-cache repeated evaluation", table)
 
@@ -100,20 +95,11 @@ def test_engine_rpq_cache_speedup(benchmark):
     reset_engine()
     assert evaluate_rpq(query, graph) == evaluate_rpq_naive(query, graph)
 
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        evaluate_rpq_naive(query, graph)
-    naive_per_call = (time.perf_counter() - start) / ROUNDS
-
     pairs = benchmark(lambda: evaluate_rpq(query, graph))
     assert pairs
-
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        evaluate_rpq(query, graph)
-    warm_per_call = (time.perf_counter() - start) / ROUNDS
-
-    speedup = naive_per_call / warm_per_call if warm_per_call else float("inf")
+    naive_per_call, warm_per_call, speedup = median_speedup(
+        lambda: evaluate_rpq_naive(query, graph),
+        lambda: evaluate_rpq(query, graph), ROUNDS)
     table = format_table(
         ["path", "ms / evaluate_rpq"],
         [
@@ -121,7 +107,8 @@ def test_engine_rpq_cache_speedup(benchmark):
             ("engine, warm (reachability memo)", f"{warm_per_call * 1e3:.3f}"),
             ("warm speedup vs naive", f"{speedup:.1f}x"),
         ],
-        title=f"engine cache: RPQ over geo graph {graph!r}",
+        title=(f"engine cache: RPQ over geo graph {graph!r}, median of "
+               f"{TRIALS} trials"),
     )
     record_report("ENGINE-cache-rpq repeated evaluation", table)
     assert speedup >= 5.0, f"warm RPQ only {speedup:.1f}x faster"

@@ -16,7 +16,15 @@ the perf trajectory is a download, not an archaeology dig through logs.
 from __future__ import annotations
 
 import json
+import statistics
+import time
+from collections.abc import Callable
 from pathlib import Path
+
+#: Interleaved trials behind each timing gate that reads a median: one
+#: single-shot loop on a busy machine moves a ratio by tens of percent
+#: for the same code.
+TRIALS = 5
 
 _REPORTS: list[tuple[str, str, dict]] = []
 _RESULTS_DIR = Path(__file__).parent / "results"
@@ -77,3 +85,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", exp_id)
         for line in text.splitlines():
             terminalreporter.write_line(line)
+
+
+def per_call(fn: Callable[[], object], rounds: int) -> float:
+    """Seconds per call of ``fn``, over ``rounds`` back-to-back calls."""
+    start = time.perf_counter()
+    for _ in range(rounds):
+        fn()
+    return (time.perf_counter() - start) / rounds
+
+
+def median_speedup(slow: Callable[[], object], fast: Callable[[], object],
+                   rounds: int) -> tuple[float, float, float]:
+    """``(slow s/call, fast s/call, slow/fast)``, each the median over
+    :data:`TRIALS` interleaved trials of ``rounds`` slow then ``rounds``
+    fast calls (the ratio is the median of the per-trial ratios)."""
+    slow_times, fast_times, ratios = [], [], []
+    for _ in range(TRIALS):
+        slow_s, fast_s = per_call(slow, rounds), per_call(fast, rounds)
+        slow_times.append(slow_s)
+        fast_times.append(fast_s)
+        ratios.append(slow_s / fast_s if fast_s else float("inf"))
+    return (statistics.median(slow_times), statistics.median(fast_times),
+            statistics.median(ratios))

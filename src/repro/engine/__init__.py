@@ -17,7 +17,8 @@ Architecture
     Wraps an :class:`~repro.xmltree.tree.XTree` with a pre-order interval
     index (O(1) ancestor/descendant tests), a label inverted index (the
     bottom-up pass touches only label-compatible nodes), an LRU query-result
-    cache keyed by canonical query form, and a canonical-query cache.
+    cache keyed by canonical query form, and the learner's canonical
+    queries, built from the columns.
 
 :class:`~repro.engine.graph.IndexedGraph`
     Wraps a :class:`~repro.graphdb.graph.Graph` with materialised

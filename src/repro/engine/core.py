@@ -320,9 +320,17 @@ class Engine:
         """Boolean satisfaction: does any embedding of ``query`` exist?"""
         return bool(self.document(tree).evaluate_indices(query))
 
+    def canonical_queries(self, tree: XTree,
+                          nodes: Sequence[XNode]) -> list[TwigQuery]:
+        """Most specific twig selecting each of ``nodes`` in ``tree``.
+
+        All of them share one fresh copy of the document's pattern.
+        """
+        return self.document(tree).canonical_queries(nodes)
+
     def canonical_query(self, tree: XTree, node: XNode) -> TwigQuery:
-        """Most specific twig selecting ``node`` in ``tree`` (cached)."""
-        return self.document(tree).canonical_query(node)
+        """Most specific twig selecting ``node`` in ``tree`` (a private copy)."""
+        return self.canonical_queries(tree, [node])[0]
 
     def preorder_nodes(self, tree: XTree) -> list[XNode]:
         """The tree's pre-order node list, served from the index snapshot.

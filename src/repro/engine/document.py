@@ -18,13 +18,16 @@ boundary):
 * an LRU-bounded query-result cache keyed by the query's canonical form,
   so the repeated evaluations an interactive learner performs against a
   fixed document after every user interaction cost one dict lookup;
-* a canonical-query cache (the learner's per-node "most specific query"),
-  served as defensive copies because learners rewrite patterns in place.
+* the learner's canonical queries (a node's "most specific query" is the
+  document read as a pattern with that node selected), built from the
+  label and ``parent`` columns as one fresh pattern per request, shared by
+  the queries of that request and by nothing else, because learners
+  rewrite patterns in place.
 
 Twig matching is two linear passes of merge/two-pointer loops over these
 arrays (`_bottom_up` / `_top_down`); answers travel internally as sorted
 pre-order position tuples and become :class:`~repro.xmltree.tree.XNode`
-objects only in :meth:`evaluate` / :meth:`canonical_query`.
+objects only in :meth:`evaluate` / :meth:`canonical_queries`.
 
 The index snapshot carries the tree's version: ``XTree.invalidate()`` (the
 hook the parent-map cache already required after a mutation) bumps it, and
@@ -122,7 +125,6 @@ class IndexedDocument:
         self._label_positions: dict[str, array[int]] = by_label
         self._all_positions = array("l", range(n))
         self._query_cache = LRUCache(max_cached_queries)
-        self._canonical_cache: dict[int, TwigQuery] = {}
 
     @property
     def tree(self) -> XTree:
@@ -392,7 +394,6 @@ class IndexedDocument:
         out._all_positions = (array("l", range(len(nodes)))
                               if spliced else prev._all_positions)
         out._query_cache = LRUCache(max_cached_queries)
-        out._canonical_cache = {}
         return out
 
     # ------------------------------------------------------------------
@@ -549,20 +550,22 @@ class IndexedDocument:
     # ------------------------------------------------------------------
     # Canonical queries (the learner's per-example starting point)
     # ------------------------------------------------------------------
-    def canonical_query(self, node: XNode) -> TwigQuery:
-        """Most specific twig selecting ``node``; cached, copied on return.
+    def canonical_queries(self, nodes: Sequence[XNode]) -> list[TwigQuery]:
+        """The most specific twig selecting each of ``nodes``.
 
-        The copy is defensive: learners mutate hypotheses in place, and the
-        first hypothesis *is* the canonical query of the first example.
+        One fresh copy of the document read as a pattern (all child
+        edges, all labels concrete), built from the columns; every
+        returned query is that pattern with its node selected.  The
+        queries share the copy with one another and with nothing else,
+        so a learner may rewrite what it gets back.
         """
-        from repro.twig.generator import canonical_query_for_node
-
-        key = self.order_of(node)
-        cached = self._canonical_cache.get(key)
-        if cached is None:
-            cached = canonical_query_for_node(self.tree, node)
-            self._canonical_cache[key] = cached
-        return cached.copy()
+        positions = [self.order_of(n) for n in nodes]
+        pattern = [TwigNode(n.label) for n in self.nodes]
+        parent = self.parent
+        for i in range(1, len(pattern)):
+            pattern[parent[i]].branches.append((Axis.CHILD, pattern[i]))
+        return [TwigQuery.of_pattern_node(Axis.CHILD, pattern[0], pattern[i])
+                for i in positions]
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict[str, int]:

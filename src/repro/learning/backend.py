@@ -33,7 +33,7 @@ Every backend exposes the same surface: the workload primitives
 the membership shapes learners actually call (``selects*``, ``accepts*``),
 an executor-backed :meth:`~EvaluationBackend.map` for non-engine scans
 (join-predicate agreement sets, semijoin witness sets), hypothesis
-*construction* helpers (:meth:`~EvaluationBackend.canonical_query`,
+*construction* helpers (:meth:`~EvaluationBackend.canonical_queries`,
 :meth:`~EvaluationBackend.words_between` — always computed client-side:
 they build the hypothesis/pool from local data, they do not evaluate it),
 and end-to-end observability: :meth:`~EvaluationBackend.stats` reports
@@ -412,9 +412,15 @@ class EvaluationBackend:
     # ------------------------------------------------------------------
     # Hypothesis construction (always client-side)
     # ------------------------------------------------------------------
+    def canonical_queries(self, tree: XTree,
+                          nodes: Sequence[XNode]) -> list[TwigQuery]:
+        """Most specific twig selecting each of ``nodes``: one query per
+        node, all sharing one fresh copy of the document's pattern."""
+        return self.engine.canonical_queries(tree, nodes)
+
     def canonical_query(self, tree: XTree, node: XNode) -> TwigQuery:
-        """Most specific twig selecting ``node`` (cached, copied)."""
-        return self.engine.canonical_query(tree, node)
+        """Most specific twig selecting ``node`` (a private copy)."""
+        return self.canonical_queries(tree, [node])[0]
 
     def words_between(self, graph: Graph, source: VertexId,
                       target: VertexId, *, max_length: int = 12,
@@ -595,7 +601,11 @@ class RemoteBackend(EvaluationBackend):
 
     All hypothesis *evaluation* crosses the wire; answers decode onto
     the caller's own objects, so learners see node identity exactly as
-    they would locally.  Hypothesis construction (canonical queries,
+    they would locally.  Decoding maps pre-order positions through the
+    client-side engine's version-checked snapshot of each document
+    (:meth:`~repro.engine.core.Engine.preorder_nodes`, also handed to a
+    caller's client that has no supplier of its own), so a warm round
+    walks no document.  Hypothesis construction (canonical queries,
     pool enumeration) and :meth:`map` closures stay client-side — they
     operate on local data and never serialise.
 
@@ -682,12 +692,15 @@ class RemoteBackend(EvaluationBackend):
                          "bytes_received": 0, "instances_shipped": 0,
                          "bytes_saved": 0, "retries": 0, "reconnects": 0,
                          "replays": 0}
+        super().__init__(engine=engine)
         if client is not None:
             if host is not None or port is not None:
                 raise ValueError("pass host/port or a ready client, not both")
             if client.closed:
                 raise RuntimeError(
                     "client is closed; pass an open WorkloadClient")
+            if client.preorder is None:
+                client.preorder = self.engine.preorder_nodes
             self.client = client
             self._own_primary = False
             peer = client._sock.getpeername()
@@ -703,7 +716,6 @@ class RemoteBackend(EvaluationBackend):
             self._host, self._port = host, port
             self.client = self._dial()
             self._own_primary = True
-        super().__init__(engine=engine)
         self._accepts_memo = LRUCache(8192)
         self._closed = False
         # Every connection ever opened (for aggregate counters) and the
@@ -718,7 +730,8 @@ class RemoteBackend(EvaluationBackend):
             host if host is not None else self._host,
             port if port is not None else self._port,
             timeout=self._timeout, retry=self._retry,
-            on_reconnect=self._note_reconnect)
+            on_reconnect=self._note_reconnect,
+            preorder=self.engine.preorder_nodes)
 
     def _note_reconnect(self) -> None:
         """A pool connection re-dialed: distrust the digest registry.

@@ -41,13 +41,23 @@ hold while the hypothesis object is unchanged and are all dropped when a
 positive label replaces it.  The negatives list is append-only within a
 run, so a verdict of "implied negative" stays true, and a "not implied"
 verdict is refreshed by probing only the negatives labelled since it was
-computed.  Candidates are never retired across a hypothesis change.  Each
-candidate's canonical query is fetched from the backend once per
-:meth:`InteractiveTwigSession.run` and shared by every widening without a
-copy: :func:`product`, :func:`anchor_repair` and :func:`minimize` leave
-their inputs intact, and :func:`minimize` returns a fresh query, so no
-hypothesis aliases a memoised canonical query.  Document sizes and node
-depths for the question order are likewise computed once per run.
+computed.  Candidates are never retired across a hypothesis change.
+
+Below that memo, every structure the widenings share is built once per
+:meth:`InteractiveTwigSession.run`.  The canonical queries of a
+document's pool candidates are fetched together, the first time one of
+them is widened, and share one copy of the document's pattern.  One
+:class:`~repro.twig.product.ProductCache` serves every product of the
+run: each factor's spine and partner indexes (so the candidates of one
+document share one set of partner indexes), Boolean products of
+subpattern pairs by structure, and minimum spine alignments by spine
+signature.  Both live for one run and are dropped by the next.  That
+sharing rests on one rule: factors are never mutated.  :func:`product`,
+:func:`anchor_repair` and :func:`minimize` leave their inputs intact, and
+:func:`minimize` returns a fresh query, so neither a canonical query nor
+a hypothesis is ever rewritten once built, and no hypothesis aliases the
+shared pattern.  Document sizes and node depths for the question order
+are likewise computed once per run.
 """
 
 from __future__ import annotations
@@ -66,10 +76,13 @@ from repro.learning.protocol import SessionStats, TwigOracle
 from repro.twig.anchored import anchor_repair
 from repro.twig.ast import TwigQuery
 from repro.twig.normalize import minimize
-from repro.twig.product import product
+from repro.twig.product import ProductCache
 from repro.xmltree.tree import XNode, XTree
 
 Candidate = tuple[XTree, XNode]
+
+#: The widening product, called with the run's cache as first argument.
+product = ProductCache.product
 
 
 @dataclass
@@ -123,6 +136,11 @@ class InteractiveTwigSession:
         if not pool:
             raise LearningError("empty candidate pool (label filter?)")
         self.pool = pool
+        #: id(document) -> its pool nodes, whose canonical queries are
+        #: fetched together.
+        self._pool_nodes: dict[int, list[XNode]] = {}
+        for doc, n in pool:
+            self._pool_nodes.setdefault(id(doc), []).append(n)
         self._reset_memo()
 
     # ------------------------------------------------------------------
@@ -130,6 +148,8 @@ class InteractiveTwigSession:
         """Forget every per-run memo (see the module docstring)."""
         #: id(node) -> the candidate's canonical query, never mutated.
         self._canonical: dict[int, TwigQuery] = {}
+        #: The shared structures of every product of the run.
+        self._products = ProductCache(self.practical)
         #: The hypothesis the two memos below belong to.
         self._memo_hypothesis: TwigQuery | None = None
         #: id(node) -> ``_extend(self._memo_hypothesis, candidate)``.
@@ -148,12 +168,14 @@ class InteractiveTwigSession:
         tree, node = candidate
         canonical = self._canonical.get(id(node))
         if canonical is None:
-            canonical = self.backend.canonical_query(tree, node)
-            self._canonical[id(node)] = canonical
+            nodes = self._pool_nodes[id(tree)]
+            self._canonical.update(zip(
+                map(id, nodes), self.backend.canonical_queries(tree, nodes)))
+            canonical = self._canonical[id(node)]
         if hypothesis is None:
             merged = canonical
         else:
-            merged = product(hypothesis, canonical, practical=self.practical)
+            merged = product(self._products, hypothesis, canonical)
         repaired, _ = anchor_repair(merged)
         return minimize(repaired)
 

@@ -57,7 +57,7 @@ import json
 import socket
 import threading
 from collections import OrderedDict
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from repro.errors import DeadlineExceeded
 from repro.serving import timeouts
@@ -83,6 +83,7 @@ from repro.serving.wire import (
     write_frame,
 )
 from repro.serving.workload import ShardAnswer, Workload, WorkloadResult
+from repro.xmltree.tree import XNode, XTree
 
 
 class ShardGate:
@@ -945,17 +946,25 @@ class WorkloadClient:
     admission control sheds shards nobody is waiting for), and bounds
     retry backoff — raising :class:`~repro.errors.DeadlineExceeded`
     when the budget runs out.
+
+    ``preorder`` (attribute and keyword) supplies a document's pre-order
+    node list for decoding twig answers, e.g. the version-checked
+    :meth:`~repro.engine.core.Engine.preorder_nodes` snapshot; without
+    one, every request's codec walks each answered document again.
     """
 
     def __init__(self, host: str, port: int, *,
                  timeout: float | None = timeouts.REQUEST_TIMEOUT,
                  retry: "RetryPolicy | None" = None,
-                 on_reconnect=None) -> None:
+                 on_reconnect=None,
+                 preorder: Callable[[XTree], Sequence[XNode]]
+                 | None = None) -> None:
         self._host = host
         self._port = port
         self._timeout = timeout
         self._retry = retry
         self._on_reconnect = on_reconnect
+        self.preorder = preorder
         #: Recovery attempts made after a backoff (dial or replay).
         self.retries = 0
         #: Successful re-dials after a broken connection.
@@ -1217,7 +1226,7 @@ class WorkloadClient:
                        deadline: "Deadline | None") -> WorkloadCodec:
         """Encode and eagerly send one workload frame; returns its codec."""
         self._drain_pending_response()
-        codec = WorkloadCodec()
+        codec = WorkloadCodec(preorder=self.preorder)
         payload = codec.encode_workload(workload,
                                         known_digests=known_digests)
         if prefetch:

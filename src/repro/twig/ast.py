@@ -118,6 +118,19 @@ class TwigQuery:
         if not root.contains_node(self.selected):
             raise ValueError("selected node must belong to the query pattern")
 
+    @classmethod
+    def of_pattern_node(cls, root_axis: Axis, root: TwigNode,
+                        selected: TwigNode) -> "TwigQuery":
+        """The query over ``root`` selecting ``selected``, which the caller
+        knows to be a node of ``root``'s pattern.
+
+        Skips the constructor's walk that checks membership, for callers
+        that have just built the pattern around ``selected``.
+        """
+        query = cls.__new__(cls)
+        query.root_axis, query.root, query.selected = root_axis, root, selected
+        return query
+
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 import os
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from repro.twig.ast import Axis, TwigNode, TwigQuery
@@ -153,6 +153,53 @@ def generator_twig_pairs(draw, practical: bool) -> tuple[TwigQuery, TwigQuery]:
         widened, _ = anchor_repair(product(p, third, practical=practical))
         p = minimize(widened)
     return p, q
+
+
+@st.composite
+def xmark_sessions(draw, practical: bool):
+    """Generated XMark corpora with a goal that selects some of them.
+
+    ``practical=True`` sessions run over whole documents with a label
+    filter; ``practical=False`` ones over one section of each document with
+    no filter, since the exact product grows fast with document size.
+    """
+    from repro.datasets.xmark import generate_xmark
+    from repro.twig.anchored import anchor_repair
+    from repro.twig.generator import canonical_query_for_node, random_twig
+    from repro.twig.normalize import minimize
+    from repro.twig.product import product
+
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=3))
+    section = draw(st.sampled_from(XMARK_SECTIONS))
+    docs = []
+    for seed in seeds:
+        site = generate_xmark(scale=0.01, rng=seed)
+        if not practical:
+            site = XTree(next(c for c in site.root.children
+                              if c.label == section))
+        docs.append(site)
+    examples = [(d, n) for d in docs for n in d.nodes() if n is not d.root]
+    assume(examples)
+    doc, target = draw(st.sampled_from(examples))
+    if draw(st.booleans()):
+        # A generalisation of two examples of the same label.
+        goal = canonical_query_for_node(doc, target)
+        others = [(d, n) for d, n in examples
+                  if n.label == target.label and n is not target]
+        if others:
+            other_doc, other = draw(st.sampled_from(others))
+            merged = product(goal, canonical_query_for_node(other_doc, other))
+            goal = minimize(anchor_repair(merged)[0])
+    else:
+        labels = sorted({n.label for n in doc.path_to_root(target)})
+        goal = random_twig(labels, spine_length=draw(st.integers(1, 3)),
+                           rng=draw(st.integers(0, 10**6)))
+    return docs, goal, {
+        "label_filter": target.label if practical else None,
+        "max_pool": 30,
+        "practical": practical,
+        "max_questions": draw(st.sampled_from((None, 3))),
+    }
 
 
 # ---------------------------------------------------------------------------

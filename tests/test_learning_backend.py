@@ -543,3 +543,39 @@ def test_closed_remote_backend_refuses_instead_of_redialling(server):
         backend.evaluate_twig_batch(parse_twig("//b"), [xml("<a><b/></a>")])
     backend.close()  # idempotent
     assert len(backend._clients) == connections  # no resurrected sockets
+
+
+def test_remote_answers_decode_through_the_engine_snapshot(server,
+                                                           monkeypatch):
+    """Remote twig answers decode onto the caller's own nodes through the
+    backend engine's version-checked pre-order snapshot: a warm round
+    walks no document, and a tracked edit that shifts positions still
+    decodes to the right objects."""
+    docs = _session_docs()
+    query = parse_twig("//person/name")
+    local = LocalBackend(Engine())
+    engine = Engine()
+    with RemoteBackend(*server.address, engine=engine) as backend:
+        assert backend.client.preorder == engine.preorder_nodes
+        workload = Workload.twig(query, docs)
+        assert identical_answers(backend.evaluate_batch(workload).answers,
+                                 local.evaluate_batch(workload).answers)
+        walks = []
+        original = XTree.nodes
+
+        def counting_nodes(tree):
+            walks.append(tree)
+            return original(tree)
+
+        monkeypatch.setattr(XTree, "nodes", counting_nodes)
+        assert identical_answers(backend.evaluate_batch(workload).answers,
+                                 local.evaluate_batch(workload).answers)
+        assert walks == []
+        monkeypatch.undo()
+        # Insert a person before the others: every later position moves.
+        added = xml("<person><name>new</name></person>").root
+        docs[0].insert_subtree(docs[0].root.children[0], added, 0)
+        answers = backend.evaluate_batch(workload).answers
+        assert identical_answers(answers,
+                                 local.evaluate_batch(workload).answers)
+        assert answers[0][0] is added.children[0]

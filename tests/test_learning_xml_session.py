@@ -1,7 +1,7 @@
 """The interactive twig-learning session (the paper's 'practical system')."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.xmark import generate_xmark
@@ -11,15 +11,11 @@ from repro.learning.backend import LocalBackend
 from repro.learning.xml_session import InteractiveTwigSession
 from repro.schema.corpus import library_schema
 from repro.schema.generation import generate_valid_tree
-from repro.twig.anchored import anchor_repair
-from repro.twig.generator import canonical_query_for_node, random_twig
-from repro.twig.normalize import minimize
 from repro.twig.parse import parse_twig
-from repro.twig.product import product
 from repro.twig.semantics import evaluate
 from repro.xmltree.tree import XTree
 
-from .conftest import XMARK_SECTIONS, xml
+from .conftest import xml, xmark_sessions
 
 
 def docs():
@@ -124,15 +120,17 @@ class _CountingBackend(LocalBackend):
     def __init__(self) -> None:
         super().__init__(Engine())
         self.selects_any_calls = 0
-        self.canonical_query_calls = 0
+        self.canonical_fetches = 0
+        self.canonical_queries_fetched = 0
 
     def selects_any(self, query, candidates):
         self.selects_any_calls += 1
         return super().selects_any(query, candidates)
 
-    def canonical_query(self, tree, node):
-        self.canonical_query_calls += 1
-        return super().canonical_query(tree, node)
+    def canonical_queries(self, tree, nodes):
+        self.canonical_fetches += 1
+        self.canonical_queries_fetched += len(nodes)
+        return super().canonical_queries(tree, nodes)
 
 
 def _outcome(result):
@@ -148,47 +146,6 @@ def _run(cls, docs, goal, **kwargs):
     result = cls(docs, goal, backend=backend, **kwargs).run(
         max_questions=max_questions)
     return _outcome(result), backend
-
-
-@st.composite
-def xmark_sessions(draw, practical: bool):
-    """Generated XMark corpora with a goal that selects some of them.
-
-    ``practical=True`` sessions run over whole documents with a label
-    filter; ``practical=False`` ones over one section of each document with
-    no filter, since the exact product grows fast with document size.
-    """
-    seeds = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=3))
-    section = draw(st.sampled_from(XMARK_SECTIONS))
-    docs = []
-    for seed in seeds:
-        site = generate_xmark(scale=0.01, rng=seed)
-        if not practical:
-            site = XTree(next(c for c in site.root.children
-                              if c.label == section))
-        docs.append(site)
-    examples = [(d, n) for d in docs for n in d.nodes() if n is not d.root]
-    assume(examples)
-    doc, target = draw(st.sampled_from(examples))
-    if draw(st.booleans()):
-        # A generalisation of two examples of the same label.
-        goal = canonical_query_for_node(doc, target)
-        others = [(d, n) for d, n in examples
-                  if n.label == target.label and n is not target]
-        if others:
-            other_doc, other = draw(st.sampled_from(others))
-            merged = product(goal, canonical_query_for_node(other_doc, other))
-            goal = minimize(anchor_repair(merged)[0])
-    else:
-        labels = sorted({n.label for n in doc.path_to_root(target)})
-        goal = random_twig(labels, spine_length=draw(st.integers(1, 3)),
-                           rng=draw(st.integers(0, 10**6)))
-    return docs, goal, {
-        "label_filter": target.label if practical else None,
-        "max_pool": 30,
-        "practical": practical,
-        "max_questions": draw(st.sampled_from((None, 3))),
-    }
 
 
 @pytest.mark.parametrize("practical", [True, False])
@@ -208,9 +165,11 @@ def test_memo_saves_probes_and_canonical_fetches():
     ref, ref_backend = _run(_UncachedSession, docs(), goal)
     assert fast == ref
     assert fast_backend.selects_any_calls < ref_backend.selects_any_calls
-    # One canonical query per candidate and run, however often it widens.
+    # One canonical query per candidate and run, however often it widens,
+    # fetched in one call per document.
     session = InteractiveTwigSession(docs(), goal)
-    assert fast_backend.canonical_query_calls <= len(session.pool)
+    assert 0 < fast_backend.canonical_queries_fetched <= len(session.pool)
+    assert 0 < fast_backend.canonical_fetches <= len(docs())
 
 
 def test_rerun_resets_the_memo():
@@ -218,10 +177,10 @@ def test_rerun_resets_the_memo():
     backend = _CountingBackend()
     session = InteractiveTwigSession(docs(), goal, backend=backend)
     first = _outcome(session.run())
-    calls = backend.selects_any_calls, backend.canonical_query_calls
+    calls = backend.selects_any_calls, backend.canonical_queries_fetched
     assert _outcome(session.run()) == first
     assert (backend.selects_any_calls,
-            backend.canonical_query_calls) == tuple(2 * c for c in calls)
+            backend.canonical_queries_fetched) == tuple(2 * c for c in calls)
 
 
 # ---------------------------------------------------------------------------
